@@ -2,16 +2,16 @@
 
 The linter runs on every CI build over the whole tree, so its wall time is
 part of the build budget.  Two scopes are timed: the ``src/repro`` package
-alone (parse, all rules, cross-file ``RenderRequest`` + pipe-protocol
-resolution, CFG construction for the dataflow rules), and the full CI
+alone (parse, all rules, cross-file ``RenderRequest`` resolution, CFG
+construction for the dataflow rules), and the full CI
 scope — src + examples + tests + benchmarks with the
 deliberately-violating lint fixtures excluded.  Both assert the perf bar
 *and* the CI gate property itself (zero findings on the live tree): a
 benchmark that is fast but finds violations means a regression landed
 without the lint gate catching it locally.
 
-Acceptance bar: either run stays under ``MAX_SECONDS`` (measured ~1.6 s
-for ~108 files and ~2.8 s for ~180 with the dataflow rules; the bound is
+Acceptance bar: either run stays under ``MAX_SECONDS`` (measured ~1.1 s
+for ~97 files and ~2.6 s for ~178 on a 2-core container; the bound is
 deliberately loose for slow CI runners, and
 ``REPRO_RELAX_PERF_ASSERTS=1`` relaxes it entirely).
 """

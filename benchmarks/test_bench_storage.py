@@ -78,10 +78,15 @@ def _catalog(num_scenes: int) -> SceneStore:
     return store
 
 
+def _services(fleet) -> list:
+    """The shard services of an in-process fleet (behind its loopbacks)."""
+    return [connection.service for connection in fleet._connections]
+
+
 def _per_worker_owned_bytes(fleet) -> list:
     """Catalog payload bytes each in-process worker privately owns."""
     owned = []
-    for service in fleet._services:
+    for service in _services(fleet):
         store = service.store
         owned.append(getattr(store, "owned_bytes", store.capacity_bytes))
     return owned
@@ -136,11 +141,11 @@ def _run_tier_comparison(store, trace, tmp_path, budget_scenes=4):
     ) as fleet:
         paged_report = fleet.serve(trace)
         resident = [
-            service.store.resident_bytes for service in fleet._services
+            service.store.resident_bytes for service in _services(fleet)
         ]
         evictions = sum(
             service.store.resident_stats().evictions
-            for service in fleet._services
+            for service in _services(fleet)
         )
     _assert_bit_identical(paged_report, single)
     # Bounded resident set, actually enforced by evictions.
@@ -231,7 +236,7 @@ def test_bench_storage_10k_catalog_scaling(benchmark, record_info, tmp_path):
             ) as fleet:
                 paged_report = fleet.serve(trace)
                 resident = [
-                    s.store.resident_bytes for s in fleet._services
+                    s.store.resident_bytes for s in _services(fleet)
                 ]
             _assert_bit_identical(paged_report, single)
             assert all(bytes_ <= budget for bytes_ in resident)

@@ -4,10 +4,10 @@ The serving stack rests on contracts that used to be enforced only by
 convention — and PRs 4/5 each paid for a violation after the fact (cache
 keys retrofitted with ``level``; a ~6-second dataclass repr of gathered
 frames).  This package machine-checks those contracts at CI time with a
-small static-analysis framework (stdlib ``ast`` only) — since PR 10 with
-a per-function dataflow engine (:mod:`repro.analysis.flow`: CFGs,
-reaching definitions, forward alias tracking) underneath — and eight rule
-families targeting the codebase's proven bug classes:
+small static-analysis framework (stdlib ``ast`` only) — with a
+per-function dataflow engine (:mod:`repro.analysis.flow`: CFGs, forward
+alias tracking, may-leak path queries) underneath — and six rule families
+targeting the codebase's proven bug classes:
 
 * ``determinism`` — all randomness must flow through explicitly seeded
   ``np.random.Generator`` objects (seeded replay and golden tests depend
@@ -24,14 +24,14 @@ families targeting the codebase's proven bug classes:
 * ``shm-lifecycle`` — every ``SharedMemory(...)`` creation must pair with
   ``close()``/``unlink()`` in a ``finally``/context manager or register a
   finalizer (leaked segments survive process death under ``/dev/shm``);
-* ``pipe-protocol`` — every ``connection.send(("<tag>", ...))`` needs a
-  worker-side handler with matching payload arity and vice versa, and
-  worker replies must fit the ``("ok"|"error", payload)`` grammar;
 * ``resource-lease`` — storage leases, pipe ends, process handles and
   files must reach ``close()``/``join()``/a ``with`` block/an ownership
-  transfer on every non-exceptional path (CFG-based may-leak analysis);
-* ``view-mutation`` — values aliased from zero-copy view APIs
-  (``get_scene``/``get_cloud``/``build_substore``) must never be written.
+  transfer on every non-exceptional path (CFG-based may-leak analysis).
+
+Two contracts are enforced by construction rather than linted: worker
+messages are typed dataclasses that carry their own handlers
+(:mod:`repro.serving.sharded`), and every store tier hands out
+non-writeable views (:func:`repro.serving.store.read_only`).
 
 Entry points: ``repro lint`` (CLI subcommand), ``python -m
 repro.analysis``, or the library API below.  Suppressions:
@@ -71,10 +71,8 @@ from repro.analysis import asyncsafety     # noqa: F401
 from repro.analysis import cachekeys       # noqa: F401
 from repro.analysis import determinism     # noqa: F401
 from repro.analysis import leases          # noqa: F401
-from repro.analysis import protocol        # noqa: F401
 from repro.analysis import reprhygiene     # noqa: F401
 from repro.analysis import shmlifecycle    # noqa: F401
-from repro.analysis import viewmutation    # noqa: F401
 
 from repro.analysis import flow            # noqa: F401
 from repro.analysis.report import (

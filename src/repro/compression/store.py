@@ -52,7 +52,12 @@ from repro.compression.lod import (
 )
 from repro.gaussians.gaussian import GaussianCloud
 from repro.gaussians.scene import GaussianScene
-from repro.serving.store import CAMERA_FIELDS, SceneStore, bounding_sphere
+from repro.serving.store import (
+    CAMERA_FIELDS,
+    SceneStore,
+    bounding_sphere,
+    read_only_cloud,
+)
 
 #: Format identifier of compressed store archives.
 COMPRESSED_FORMAT_VERSION = 3
@@ -235,7 +240,7 @@ class CompressedSceneStore(SceneStore):
         return record.center.copy(), record.radius
 
     def get_cloud(self, index: Union[int, str], level: int = 0) -> GaussianCloud:
-        """Decode scene ``index`` at ``level`` (fresh arrays, not views).
+        """Decode scene ``index`` at ``level`` (fresh arrays, read-only).
 
         Coarse levels decode only the rows they keep, so the cost scales
         with the level's own Gaussian count, not the full scene's.
@@ -243,9 +248,8 @@ class CompressedSceneStore(SceneStore):
         index = self.resolve_index(index)
         level = self._check_level(index, level)
         record = self._records[index]
-        if level == 0:
-            return record.cloud.decode()
-        return record.cloud.decode(record.pyramid.level_indices(level))
+        indices = None if level == 0 else record.pyramid.level_indices(level)
+        return read_only_cloud(record.cloud.decode(indices))
 
     def error_bounds(self, index: Union[int, str]) -> dict:
         """Advertised per-field worst-case decode errors of one scene."""

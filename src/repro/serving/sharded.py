@@ -33,10 +33,12 @@ kill schedule.
 
 Workers are long-lived ``multiprocessing`` processes, each holding its own
 sub-:class:`~repro.serving.store.SceneStore` and ``RenderService``; the
-dispatcher talks to them over pipes.  ``use_processes=False`` (or
-``num_workers=1``) degrades gracefully to in-process shard services, which
-is also how per-shard *busy time* is measured cleanly on machines with few
-cores (see :attr:`FleetReport.critical_path_seconds`).
+dispatcher talks to them over pipes with typed, frozen message dataclasses
+that carry their own handlers.  ``use_processes=False`` (or
+``num_workers=1``) swaps each pipe end for an in-process loopback that
+answers the same messages through the same handler, which is also how
+per-shard *busy time* is measured cleanly on machines with few cores (see
+:attr:`FleetReport.critical_path_seconds`).
 
 Usage::
 
@@ -53,11 +55,12 @@ Usage::
 
 from __future__ import annotations
 
+import abc
 import multiprocessing
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -250,61 +253,135 @@ class FleetReport(ResponseStreamStats):
         return merge_cache_stats([s.frame_cache for s in self.shards])
 
 
-def _shard_worker_main(connection, store: SceneStore, service_kwargs: dict) -> None:
-    """Worker-process loop: own one shard's scenes, answer serve commands.
+class _Message(abc.ABC):
+    """One dispatcher-to-worker command; :meth:`apply` is its handler.
 
-    Protocol (request -> response over the pipe):
-
-    * ``("serve", [(local_scene_index, camera, backend, level), ...])`` ->
-      ``("ok", ServiceReport)``
-    * ``("add_scene", one_scene_store)`` -> ``("ok", local_index)`` after
-      adopting the scene (payload preserved verbatim — replication)
-    * ``("remove_scene", local_index)`` -> ``("ok", None)`` after dropping
-      the scene and re-keying the caches (demotion)
-    * ``("reset",)`` -> ``("ok", None)`` after dropping both caches
-    * ``("stats",)`` -> ``("ok", (covariance CacheStats, frame CacheStats))``
-    * ``("close",)`` -> loop exit (no response)
-
-    Any exception is caught and returned as ``("error", traceback_text)`` so
-    a bad request cannot wedge the fleet.
+    Messages are frozen dataclasses, so a wrong arity fails where the
+    message is built, and the handler lives on the class, so a message
+    without one cannot even be instantiated.  There is no tag to misspell
+    and no dispatch table to keep in step with the senders.
     """
+
+    @abc.abstractmethod
+    def apply(self, service: RenderService):
+        """Run the command on the worker's service and return the reply."""
+
+
+@dataclass(frozen=True)
+class _Serve(_Message):
+    """Render requests whose ``scene_id`` is the worker-local index."""
+
+    requests: Tuple[RenderRequest, ...]
+
+    def apply(self, service: RenderService) -> ServiceReport:
+        """Serve the batch; the reply is the shard's ``ServiceReport``."""
+        return service.serve(self.requests)
+
+
+@dataclass(frozen=True)
+class _AddScene(_Message):
+    """Adopt scene 0 of a one-scene sub-store (promotion to a replica)."""
+
+    store: SceneStore
+
+    def apply(self, service: RenderService) -> int:
+        """Adopt the scene payload verbatim; the reply is its local index."""
+        return service.adopt_scene(self.store, 0)
+
+
+@dataclass(frozen=True)
+class _RemoveScene(_Message):
+    """Drop a scene by local index (demotion), re-keying the caches."""
+
+    index: int
+
+    def apply(self, service: RenderService) -> int:
+        """Remove the scene; the reply is its old local index."""
+        return service.remove_scene(self.index)
+
+
+@dataclass(frozen=True)
+class _ResetCaches(_Message):
+    """Drop both caches of the worker's service."""
+
+    def apply(self, service: RenderService) -> None:
+        """Reset the caches; the reply is ``None``."""
+        service.reset_caches()
+
+
+@dataclass(frozen=True)
+class _CacheStats(_Message):
+    """Read the worker's ``(covariance, frame)`` cache counters."""
+
+    def apply(self, service: RenderService) -> Tuple[CacheStats, CacheStats]:
+        """The reply is the service's current cache counters."""
+        return service.cache_stats()
+
+
+@dataclass(frozen=True)
+class _Close(_Message):
+    """End the worker loop; the only message that gets no reply."""
+
+    def apply(self, service: RenderService) -> None:
+        """Nothing to do on the service; the worker loop exits instead."""
+
+
+def _handle(service: RenderService, message: _Message) -> Tuple[str, object]:
+    """Run one message and wrap the result as ``("ok"|"error", payload)``.
+
+    Any exception is returned as its traceback text, so a bad request
+    cannot wedge the fleet.  The process worker loop and the in-process
+    :class:`_Loopback` both answer through this one function.
+    """
+    try:
+        return "ok", message.apply(service)
+    except Exception:
+        return "error", traceback.format_exc()
+
+
+def _shard_worker_main(connection, store: SceneStore, service_kwargs: dict) -> None:
+    """Worker-process loop: own one shard's scenes, answer messages."""
     service = RenderService(store, **service_kwargs)
     while True:
         try:
             message = connection.recv()
         except EOFError:
             break
-        command = message[0]
-        if command == "close":
+        if isinstance(message, _Close):
             break
-        try:
-            if command == "serve":
-                requests = [
-                    RenderRequest(
-                        scene_id=index, camera=camera, backend=backend,
-                        level=level,
-                    )
-                    for index, camera, backend, level in message[1]
-                ]
-                connection.send(("ok", service.serve(requests)))
-            elif command == "add_scene":
-                connection.send(("ok", service.adopt_scene(message[1], 0)))
-            elif command == "remove_scene":
-                service.remove_scene(message[1])
-                connection.send(("ok", None))
-            elif command == "reset":
-                service.reset_caches()
-                connection.send(("ok", None))
-            elif command == "stats":
-                connection.send(
-                    ("ok", (service.covariance_cache.stats(),
-                            service.frame_cache.stats()))
-                )
-            else:
-                connection.send(("error", f"unknown command {command!r}"))
-        except Exception:
-            connection.send(("error", traceback.format_exc()))
+        connection.send(_handle(service, message))
     connection.close()
+
+
+class _Loopback:
+    """In-process stand-in for a worker's pipe end.
+
+    ``send`` only queues the message; ``recv`` runs it through
+    :func:`_handle`.  An in-process shard therefore renders at collect
+    time, so a kill landing between dispatch and collect (which closes the
+    connection and drops the queue) loses the same in-flight work as it
+    does in a worker process.
+    """
+
+    def __init__(self, service: RenderService):
+        self.service = service
+        self._queue: deque = deque()
+
+    def send(self, message: _Message) -> None:
+        """Queue one message for the next :meth:`recv`."""
+        self._queue.append(message)
+
+    def recv(self) -> Tuple[str, object]:
+        """Run the oldest queued message and return its reply."""
+        return _handle(self.service, self._queue.popleft())
+
+    def poll(self, timeout: float = 0.0) -> bool:
+        """Whether a queued message waits (its reply never blocks)."""
+        return bool(self._queue)
+
+    def close(self) -> None:
+        """Drop any queued, not yet run messages."""
+        self._queue.clear()
 
 
 class ShardedRenderService:
@@ -353,13 +430,11 @@ class ShardedRenderService:
         stay bit-identical to a single-worker serve.
     use_processes:
         ``True`` (default) runs each shard in its own ``multiprocessing``
-        process; ``False`` keeps the shard services in-process, which shares
-        the exact routing/merge/failure code path while serving shards
-        sequentially (useful for tests, single-core hosts and clean
-        busy-time measurement).  ``num_workers=1`` always stays in-process.
-    start_method:
-        Optional ``multiprocessing`` start method (``"fork"``/``"spawn"``);
-        defaults to the platform default.
+        process; ``False`` keeps the shard services in-process behind a
+        loopback connection, which shares the exact message, routing,
+        merge and failure code path while serving shards sequentially
+        (useful for tests, single-core hosts and clean busy-time
+        measurement).  ``num_workers=1`` always stays in-process.
 
     The service is a context manager; :meth:`close` shuts the workers down.
     ``serve`` is not reentrant — one stream at a time per fleet.
@@ -382,7 +457,6 @@ class ShardedRenderService:
         frame_cache_bytes: Optional[int] = DEFAULT_FRAME_CACHE_BYTES,
         lod_policy=None,
         use_processes: bool = True,
-        start_method: Optional[str] = None,
     ):
         if num_workers < 1:
             raise ValueError("num_workers must be at least 1")
@@ -434,16 +508,9 @@ class ShardedRenderService:
 
         self._closed = False
         self._use_processes = bool(use_processes) and self.num_workers > 1
-        self._context = None
-        if self._use_processes:
-            self._context = (
-                multiprocessing.get_context(start_method)
-                if start_method
-                else multiprocessing.get_context()
-            )
+        # Per shard: a Pipe end to a worker process, or a _Loopback.
         self._connections: List[Optional[object]] = [None] * self.num_workers
         self._processes: List[Optional[object]] = [None] * self.num_workers
-        self._services: List[Optional[RenderService]] = [None] * self.num_workers
         # Per shard: global scene index -> index in the worker's sub-store.
         self._local_index: List[Dict[int, int]] = [
             {} for _ in range(self.num_workers)
@@ -471,20 +538,20 @@ class ShardedRenderService:
             scene: local for local, scene in enumerate(indices)
         }
         if self._use_processes:
-            parent_end, child_end = self._context.Pipe()
-            process = self._context.Process(
+            connection, child_end = multiprocessing.Pipe()
+            process = multiprocessing.Process(
                 target=_shard_worker_main,
                 args=(child_end, sub_store, self._service_kwargs),
                 daemon=True,
             )
             process.start()
             child_end.close()
-            self._connections[shard] = parent_end
             self._processes[shard] = process
         else:
-            self._services[shard] = RenderService(
-                sub_store, **self._service_kwargs
+            connection = _Loopback(
+                RenderService(sub_store, **self._service_kwargs)
             )
+        self._connections[shard] = connection
         self._alive[shard] = True
 
     def kill_worker(self, shard: int) -> None:
@@ -505,19 +572,19 @@ class ShardedRenderService:
             )
         if not self._alive[shard]:
             raise ValueError(f"worker {shard} is already dead")
-        if self._use_processes:
-            process = self._processes[shard]
-            if process is not None and process.is_alive():
-                process.terminate()
+        process = self._processes[shard]
+        if process is not None and process.is_alive():
+            process.terminate()
         self._mark_dead(shard)
 
     def _mark_dead(self, shard: int) -> None:
         """Record a worker's death and drop its endpoints (idempotent).
 
-        Closing the parent pipe end discards any completed-but-uncollected
-        reply, so the in-flight requests of a killed shard are *always*
-        requeued — which is what makes the ``requeued`` counter a
-        deterministic function of the stream and the kill schedule.
+        Closing the connection discards any completed-but-uncollected
+        reply (or, for a loopback, the not yet run messages), so the
+        in-flight requests of a killed shard are *always* requeued — which
+        is what makes the ``requeued`` counter a deterministic function of
+        the stream and the kill schedule.
         """
         if not self._alive[shard]:
             return
@@ -525,23 +592,20 @@ class ShardedRenderService:
         self.placement.record(
             "kill", position=self._dispatched_total, scene=None, shard=shard
         )
-        if self._use_processes:
-            connection = self._connections[shard]
-            if connection is not None:
-                try:
-                    connection.close()
-                except OSError:
-                    pass
-            self._connections[shard] = None
-            process = self._processes[shard]
-            if process is not None:
+        connection = self._connections[shard]
+        if connection is not None:
+            try:
+                connection.close()
+            except OSError:
+                pass
+        self._connections[shard] = None
+        process = self._processes[shard]
+        if process is not None:
+            process.join(timeout=5.0)
+            if process.is_alive():
+                process.terminate()
                 process.join(timeout=5.0)
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=5.0)
-            self._processes[shard] = None
-        else:
-            self._services[shard] = None
+        self._processes[shard] = None
 
     def _respawn(self, shard: int) -> None:
         """Bring a dead shard back with its placement scene set (cold caches)."""
@@ -574,12 +638,16 @@ class ShardedRenderService:
     # ------------------------------------------------------------------ #
     # Worker RPC
     # ------------------------------------------------------------------ #
-    def _call(self, shard: int, message: tuple):
-        """Send one command to a shard worker and return its reply payload."""
+    def _send(self, shard: int, message: _Message) -> None:
+        """Send one message to a shard worker without waiting for a reply."""
         try:
             self._connections[shard].send(message)
         except (BrokenPipeError, OSError):
             raise _WorkerDied(f"shard {shard} worker exited unexpectedly")
+
+    def _call(self, shard: int, message: _Message):
+        """Send one message to a shard worker and return its reply payload."""
+        self._send(shard, message)
         return self._receive(shard)
 
     def _receive(self, shard: int):
@@ -603,7 +671,6 @@ class ShardedRenderService:
         self,
         requests: Iterable[RenderRequest],
         failure_plan: Optional["FailurePlan"] = None,
-        dispatch_window: Optional[int] = None,
     ) -> FleetReport:
         """Serve a request stream across the fleet.
 
@@ -621,10 +688,9 @@ class ShardedRenderService:
         fires once its dispatch position is reached, the killed shard's
         in-flight requests are requeued to surviving replicas, and a shard
         whose death leaves any scene with no live owner is respawned (cold
-        caches, same scene set).  ``dispatch_window`` overrides the
-        fleet's round size for this serve.  With ``rebalance=True``,
-        round boundaries also promote/demote replicas from the traffic
-        observed so far.
+        caches, same scene set).  With ``rebalance=True``, round
+        boundaries also promote/demote replicas from the traffic observed
+        so far.
         """
         self._check_open()
         start = time.perf_counter()
@@ -650,10 +716,7 @@ class ShardedRenderService:
                         f"has only {self.num_workers} workers"
                     )
 
-        window = (
-            dispatch_window if dispatch_window is not None
-            else self.dispatch_window
-        )
+        window = self.dispatch_window
         chaos = bool(failure_plan and len(failure_plan)) or self.rebalance
         if window is None:
             window = DEFAULT_DISPATCH_WINDOW if chaos else max(len(requests), 1)
@@ -700,25 +763,23 @@ class ShardedRenderService:
                     counted[position] = True
                     scene_traffic[scene] += 1
 
-            # Dispatch to every assigned shard first (process mode), then
-            # collect in the same order; in-process shards render at
-            # collect time, so a kill landing between dispatch and collect
-            # loses the same in-flight work in both modes.
-            if self._use_processes:
-                for shard in sorted(assignment):
-                    payload = [
-                        (
-                            self._local_index[shard][resolved[position]],
-                            requests[position].camera,
-                            requests[position].backend,
-                            requests[position].level,
-                        )
-                        for position in assignment[shard]
-                    ]
-                    try:
-                        self._connections[shard].send(("serve", payload))
-                    except (BrokenPipeError, OSError):
-                        self._mark_dead(shard)  # crash detected at dispatch
+            # Dispatch to every assigned shard first, then collect in the
+            # same order; loopback shards render at collect time, so a
+            # kill landing between dispatch and collect loses the same
+            # in-flight work in both modes.
+            for shard in sorted(assignment):
+                local = self._local_index[shard]
+                message = _Serve(tuple(
+                    replace(
+                        requests[position],
+                        scene_id=local[resolved[position]],
+                    )
+                    for position in assignment[shard]
+                ))
+                try:
+                    self._send(shard, message)
+                except _WorkerDied:
+                    self._mark_dead(shard)  # crash detected at dispatch
             dispatched += len(round_positions)
             self._dispatched_total += len(round_positions)
 
@@ -739,28 +800,16 @@ class ShardedRenderService:
                 if not self._alive[shard]:
                     requeue_positions.extend(positions)
                     continue
-                if self._use_processes:
-                    try:
-                        report: ServiceReport = self._receive(shard)
-                    except _WorkerDied:
-                        self._mark_dead(shard)
-                        requeue_positions.extend(positions)
-                        continue
-                    except RuntimeError as error:
-                        if first_error is None:
-                            first_error = error
-                        continue
-                else:
-                    local_requests = [
-                        RenderRequest(
-                            scene_id=self._local_index[shard][resolved[position]],
-                            camera=requests[position].camera,
-                            backend=requests[position].backend,
-                            level=requests[position].level,
-                        )
-                        for position in positions
-                    ]
-                    report = self._services[shard].serve(local_requests)
+                try:
+                    report: ServiceReport = self._receive(shard)
+                except _WorkerDied:
+                    self._mark_dead(shard)
+                    requeue_positions.extend(positions)
+                    continue
+                except RuntimeError as error:
+                    if first_error is None:
+                        first_error = error
+                    continue
                 # Merge, restoring global identities so the fleet report
                 # reads exactly like a single-worker one.
                 for position, response in zip(positions, report.responses):
@@ -888,19 +937,16 @@ class ShardedRenderService:
     def _add_replica(self, scene: int, shard: int) -> bool:
         """Make ``scene`` resident on ``shard`` without pausing the stream.
 
-        Ships a one-scene sub-store over the pipe (payload preserved
+        Ships a one-scene sub-store to the worker (payload preserved
         verbatim, so the replica renders bit-identically) and records the
         promotion.  Returns ``False`` if the worker died mid-transfer.
         """
         sub_store = self.store.build_substore([scene])
-        if self._use_processes:
-            try:
-                local = self._call(shard, ("add_scene", sub_store))
-            except _WorkerDied:
-                self._mark_dead(shard)
-                return False
-        else:
-            local = self._services[shard].adopt_scene(sub_store, 0)
+        try:
+            local = self._call(shard, _AddScene(sub_store))
+        except _WorkerDied:
+            self._mark_dead(shard)
+            return False
         self._local_index[shard][scene] = local
         self.placement.add_replica(
             scene, shard, position=self._dispatched_total
@@ -916,13 +962,10 @@ class ShardedRenderService:
         """
         local = self._local_index[shard].pop(scene)
         if self._alive[shard]:
-            if self._use_processes:
-                try:
-                    self._call(shard, ("remove_scene", local))
-                except _WorkerDied:
-                    self._mark_dead(shard)
-            else:
-                self._services[shard].remove_scene(local)
+            try:
+                self._call(shard, _RemoveScene(local))
+            except _WorkerDied:
+                self._mark_dead(shard)
         for other, index in self._local_index[shard].items():
             if index > local:
                 self._local_index[shard][other] = index - 1
@@ -935,10 +978,7 @@ class ShardedRenderService:
     # ------------------------------------------------------------------ #
     def _idle_shard_stats(self, shard: int) -> Tuple[CacheStats, CacheStats]:
         """Current cache counters of a live shard that served no requests."""
-        if self._use_processes:
-            return self._call(shard, ("stats",))
-        service = self._services[shard]
-        return service.covariance_cache.stats(), service.frame_cache.stats()
+        return self._call(shard, _CacheStats())
 
     def submit(self, request: RenderRequest) -> RenderResponse:
         """Serve a single request through a live owner of its scene."""
@@ -966,18 +1006,14 @@ class ShardedRenderService:
         """Drop every live shard's caches (cold-trace benchmarking)."""
         self._check_open()
         for shard in range(self.num_workers):
-            if not self._alive[shard]:
-                continue
-            if self._use_processes:
-                self._call(shard, ("reset",))
-            else:
-                self._services[shard].reset_caches()
+            if self._alive[shard]:
+                self._call(shard, _ResetCaches())
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Shut the worker processes down (idempotent).
+        """Shut the workers down (idempotent).
 
         Safe to call with replies still in flight — e.g. when ``serve``
         raised between dispatch and collect: pending replies are drained
@@ -988,9 +1024,7 @@ class ShardedRenderService:
         if self._closed:
             return
         self._closed = True
-        if not self._use_processes:
-            return
-        for connection in self._connections:
+        for shard, connection in enumerate(self._connections):
             if connection is None:
                 continue
             try:
@@ -999,8 +1033,8 @@ class ShardedRenderService:
             except (EOFError, OSError):
                 pass
             try:
-                connection.send(("close",))
-            except (BrokenPipeError, OSError):
+                self._send(shard, _Close())
+            except _WorkerDied:
                 pass
         for process in self._processes:
             if process is None:

@@ -53,7 +53,7 @@ import numpy as np
 from repro.gaussians.gaussian import GaussianCloud
 from repro.gaussians.scene import GaussianScene
 from repro.serving.cache import CacheStats, LRUByteCache
-from repro.serving.store import CAMERA_FIELDS, SceneStore
+from repro.serving.store import CAMERA_FIELDS, SceneStore, read_only_cloud
 
 #: Format identifier of paged (directory) archives.
 PAGED_FORMAT_VERSION = 4
@@ -522,8 +522,8 @@ class PagedSceneStore(SceneStore):
     def get_cloud(self, index: Union[int, str], level: int = 0) -> GaussianCloud:
         """Cloud of scene ``index``, loaded lazily from its chunk file.
 
-        Raw-kind scenes return views over the resident copy; compressed
-        scenes decode with the exact
+        Raw-kind scenes return read-only views over the resident copy;
+        compressed scenes decode with the exact
         :class:`~repro.compression.store.CompressedSceneStore` code path,
         so frames stay bit-identical per level across residency tiers.
         """
@@ -532,16 +532,14 @@ class PagedSceneStore(SceneStore):
         record = self._records[index]
         payload = self._fetch(record)
         if record.kind == "raw":
-            return GaussianCloud(
-                positions=payload["positions"],
-                scales=payload["scales"],
-                rotations=payload["rotations"],
-                opacities=payload["opacities"],
-                sh_coeffs=payload["sh_coeffs"],
+            cloud = GaussianCloud(
+                **{name: payload[name] for name in _RAW_FIELDS}
             )
-        if level == 0:
-            return payload["cloud"].decode()
-        return payload["cloud"].decode(payload["pyramid"].level_indices(level))
+        else:
+            pyramid = payload["pyramid"]
+            indices = None if level == 0 else pyramid.level_indices(level)
+            cloud = payload["cloud"].decode(indices)
+        return read_only_cloud(cloud)
 
     # ------------------------------------------------------------------ #
     # Size accounting

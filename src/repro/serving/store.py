@@ -34,6 +34,7 @@ Usage::
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Union
 
@@ -56,6 +57,26 @@ def _grown(array: np.ndarray, rows: int) -> np.ndarray:
     grown = np.zeros((rows,) + array.shape[1:], dtype=array.dtype)
     grown[: len(array)] = array
     return grown
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """A non-writeable view of ``array``; ``array`` itself is untouched.
+
+    Every store tier hands out cloud fields and camera poses through this,
+    so a write through a view raises ``ValueError`` where it happens
+    instead of silently changing the store (or, under the shared tier,
+    every reader's snapshot).
+    """
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+def read_only_cloud(cloud: GaussianCloud) -> GaussianCloud:
+    """``cloud`` with every field swapped for a :func:`read_only` view."""
+    for field in fields(cloud):
+        setattr(cloud, field.name, read_only(getattr(cloud, field.name)))
+    return cloud
 
 
 def bounding_sphere(positions: np.ndarray):
@@ -86,9 +107,10 @@ class SceneStore:
         reloaded = SceneStore.load("scenes.npz")
 
     ``get_scene`` returns :class:`~repro.gaussians.scene.GaussianScene`
-    objects whose cloud arrays are *views* into the store; treat them as
-    read-only.  Like any array-backed container with geometric growth, a
-    later ``add_scene`` may reallocate the flat buffers, at which point
+    objects whose cloud arrays and camera poses are non-writeable *views*
+    into the store (every tier does the same; writes raise ``ValueError``).
+    Like any array-backed container with geometric growth, a later
+    ``add_scene`` may reallocate the flat buffers, at which point
     previously handed-out views keep the (still correct) old buffer but no
     longer share memory with the store — re-fetch views after adding scenes
     if store identity matters.
@@ -446,26 +468,27 @@ class SceneStore:
         return bounding_sphere(self._positions[start:stop])
 
     def get_cloud(self, index: Union[int, str], level: int = 0) -> GaussianCloud:
-        """Cloud of scene ``index`` as views into the flat arrays (O(1)).
+        """Cloud of scene ``index`` as read-only views into the flat arrays.
 
-        Valid until the next growth reallocation (see the class docstring).
-        ``level`` selects a detail level; a plain store only has level 0.
+        O(1); valid until the next growth reallocation (see the class
+        docstring).  ``level`` selects a detail level; a plain store only
+        has level 0.
         """
         index = self.resolve_index(index)
         self._check_level(index, level)
         start = self._start[index]
         stop = start + self._length[index]
         k = self._sh_k[index]
-        return GaussianCloud(
+        return read_only_cloud(GaussianCloud(
             positions=self._positions[start:stop],
             scales=self._scales[start:stop],
             rotations=self._rotations[start:stop],
             opacities=self._opacities[start:stop],
             sh_coeffs=self._sh[start:stop, :k, :],
-        )
+        ))
 
     def get_cameras(self, index: Union[int, str]) -> List[Camera]:
-        """Cameras of scene ``index`` (poses are views into the store)."""
+        """Cameras of scene ``index`` (poses are read-only store views)."""
         index = self.resolve_index(index)
         start = self._cam_start[index]
         cameras = []
@@ -474,7 +497,7 @@ class SceneStore:
             cameras.append(
                 Camera(
                     width=int(width), height=int(height), fx=fx, fy=fy,
-                    cx=cx, cy=cy, world_to_camera=self._poses[row],
+                    cx=cx, cy=cy, world_to_camera=read_only(self._poses[row]),
                     znear=znear, zfar=zfar,
                 )
             )

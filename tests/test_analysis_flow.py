@@ -1,8 +1,8 @@
 """Tests for repro.analysis.flow: the CFG + dataflow engine.
 
-Unit tests pin the graph shapes (branch, loop, try edges), the
-reaching-definitions lattice, alias tracking, and the may-leak path
-query that the PR-10 rule families are built on.  A hypothesis suite
+Unit tests pin the graph shapes (branch, loop, try edges), alias
+tracking, and the may-leak path query that the ``resource-lease`` and
+``shm-lifecycle`` rules are built on.  A hypothesis suite
 pins the engine's totality contract: every function must degrade to "no
 answer", never raise, on any tree ``ast.parse`` accepts.
 """
@@ -17,12 +17,9 @@ from repro.analysis import lint_source
 from repro.analysis.flow import (
     EXCEPTION,
     NORMAL,
-    PARAMETER,
     build_flow,
     iter_scopes,
-    projection_root,
     reaches_exit_without,
-    statement_definitions,
     taint_names,
     walk_scope,
 )
@@ -176,66 +173,6 @@ class TestGraphShape:
         assert len(list(graph.statements())) >= 2
 
 
-class TestReachingDefinitions:
-    def test_unique_definition_resolves(self):
-        graph, function = function_graph(
-            "def f(message):\n"
-            "    command = message[0]\n"
-            "    use(command)\n"
-        )
-        use = find_stmt(function, ast.Expr)
-        definition = graph.reaching_definitions().resolve(use, "command")
-        assert isinstance(definition, ast.Assign)
-        assert isinstance(definition.value, ast.Subscript)
-
-    def test_ambiguous_definition_resolves_to_none(self):
-        graph, function = function_graph(
-            "def f(flag):\n"
-            "    if flag:\n"
-            "        command = 'a'\n"
-            "    else:\n"
-            "        command = 'b'\n"
-            "    use(command)\n"
-        )
-        use = find_stmt(function, ast.Expr)
-        assert graph.reaching_definitions().resolve(use, "command") is None
-
-    def test_parameters_reach_as_sentinel(self):
-        graph, function = function_graph(
-            "def f(payload):\n    use(payload)\n"
-        )
-        use = find_stmt(function, ast.Expr)
-        sites = graph.reaching_definitions().at(use).get("payload")
-        assert sites == frozenset({PARAMETER})
-        # The sentinel never resolves to a concrete statement.
-        assert graph.reaching_definitions().resolve(use, "payload") is None
-
-    def test_loop_merges_definitions(self):
-        graph, function = function_graph(
-            "def f(items):\n"
-            "    total = 0\n"
-            "    for item in items:\n"
-            "        total = total + item\n"
-            "    use(total)\n"
-        )
-        use = find_stmt(function, ast.Expr)
-        sites = graph.reaching_definitions().at(use).get("total")
-        assert len(sites) == 2  # the init and the loop-body rebind
-
-    def test_statement_definitions_covers_binding_forms(self):
-        tree = ast.parse(
-            "a, b = 1, 2\n"
-            "c: int = 3\n"
-            "d += 1\n"
-            "with open('x') as e:\n    pass\n"
-            "for f_ in []:\n    pass\n"
-        )
-        names = set()
-        for stmt in tree.body:
-            names |= statement_definitions(stmt)
-        assert {"a", "b", "c", "d", "e", "f_"} <= names
-
-
 class TestTaintAndPaths:
     def _is_get_cloud(self, expression):
         return (
@@ -254,25 +191,6 @@ class TestTaintAndPaths:
         )
         tainted = taint_names(graph, self._is_get_cloud)
         assert tainted == {"cloud", "alias", "other"}
-
-    def test_projection_taint_is_opt_in(self):
-        source = (
-            "def f(store):\n"
-            "    cloud = store.get_cloud(0)\n"
-            "    positions = cloud.positions\n"
-        )
-        graph, _ = function_graph(source)
-        assert "positions" not in taint_names(graph, self._is_get_cloud)
-        assert "positions" in taint_names(
-            graph, self._is_get_cloud, projections=True
-        )
-
-    def test_projection_root_unwinds_chains(self):
-        expression = ast.parse(
-            "scene.cloud.positions[0]", mode="eval"
-        ).body
-        root = projection_root(expression)
-        assert isinstance(root, ast.Name) and root.id == "scene"
 
     def test_early_return_dodges_cleanup(self):
         graph, function = function_graph(
@@ -435,9 +353,7 @@ class TestTotality:
         tree = ast.parse(source)
         for scope in iter_scopes(tree):
             graph = build_flow(scope)
-            reaching = graph.reaching_definitions()
             for statement in graph.statements():
-                reaching.at(statement)
                 assert graph.locate(statement) is not None
             taint_names(graph, lambda e: isinstance(e, ast.Call))
             statements = list(graph.statements())
@@ -447,16 +363,9 @@ class TestTotality:
     @settings(max_examples=60, deadline=None)
     @given(snippets())
     def test_dataflow_rules_never_raise(self, source):
-        """The three PR-10 rules degrade to findings-or-nothing, never crash."""
+        """The dataflow rules degrade to findings-or-nothing, never crash."""
         findings = lint_source(
-            source,
-            rules=["pipe-protocol", "resource-lease", "view-mutation",
-                   "shm-lifecycle"],
+            source, rules=["resource-lease", "shm-lifecycle"]
         )
         for finding in findings:
-            assert finding.rule in {
-                "pipe-protocol",
-                "resource-lease",
-                "view-mutation",
-                "shm-lifecycle",
-            }
+            assert finding.rule in {"resource-lease", "shm-lifecycle"}

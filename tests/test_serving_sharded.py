@@ -1,5 +1,7 @@
 """Tests for the sharded multi-worker serving layer."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,12 @@ from repro.serving import (
     RenderRequest,
     RenderService,
     SceneStore,
+    ServiceReport,
     ShardedRenderService,
     generate_requests,
     merge_cache_stats,
 )
+from repro.serving import sharded
 
 
 @pytest.fixture(scope="module")
@@ -284,8 +288,8 @@ class TestWorkerShutdownAudit:
         # so the worker still exits cleanly.
         fleet = ShardedRenderService(store, num_workers=2)
         processes = self._processes(fleet)
-        fleet._connections[0].send(("stats",))
-        fleet._connections[1].send(("stats",))
+        fleet._connections[0].send(sharded._CacheStats())
+        fleet._connections[1].send(sharded._CacheStats())
         fleet.close()
         assert all(not p.is_alive() for p in processes)
         assert all(p.exitcode == 0 for p in processes)
@@ -308,6 +312,98 @@ class TestWorkerShutdownAudit:
         fleet.close()
         fleet.close()  # idempotent
         assert all(not p.is_alive() for p in processes)
+
+
+def _message_classes() -> set:
+    """Every worker message class the sharded module defines."""
+    return {
+        cls for cls in sharded._Message.__subclasses__()
+        if cls.__module__ == sharded.__name__
+    }
+
+
+def _summary(payload):
+    """A comparable digest of one reply payload (reports carry timings)."""
+    if isinstance(payload, ServiceReport):
+        return [
+            (r.scene_index, r.frame_key, r.from_cache, r.image.tobytes())
+            for r in payload.responses
+        ]
+    return payload
+
+
+def _scripted_session(store, use_processes, monkeypatch):
+    """Drive every message type once or more; return what was exchanged.
+
+    The trace makes scene 0 hot for one round (a replica is promoted),
+    then cold for the rest (the replica is demoted again), before the
+    cache reset, the stats read and the close.  Returns the message types
+    sent and ``(type, summary)`` for every reply received; an "error"
+    reply raises out of ``_receive`` and fails the session.
+    """
+    cameras = store.get_cameras(0)
+    hot = [RenderRequest(scene_id=0, camera=cameras[i % 3]) for i in range(8)]
+    cold = [
+        RenderRequest(scene_id=1 + i % 4, camera=store.get_cameras(1 + i % 4)[i % 3])
+        for i in range(80)
+    ]
+    sent, replies = [], []
+    in_flight = {0: [], 1: []}
+    fleet = ShardedRenderService(
+        store, num_workers=2, rebalance=True, use_processes=use_processes
+    )
+    send, receive = fleet._send, fleet._receive
+
+    def recording_send(shard, message):
+        sent.append(type(message))
+        in_flight[shard].append(type(message))
+        send(shard, message)
+
+    def recording_receive(shard):
+        payload = receive(shard)
+        replies.append((in_flight[shard].pop(0), _summary(payload)))
+        return payload
+
+    monkeypatch.setattr(fleet, "_send", recording_send)
+    monkeypatch.setattr(fleet, "_receive", recording_receive)
+    with fleet:
+        report = fleet.serve(hot + cold)
+        fleet.reset_caches()
+        fleet.cache_stats()
+    kinds = {event.kind for event in report.placement}
+    assert {"replicate", "demote"} <= kinds
+    return sent, replies
+
+
+class TestTypedMessages:
+    """Runtime replacement for a static check of the worker protocol:
+    every message type is sent and answered by a live worker process, and
+    the in-process loopback answers it identically."""
+
+    def test_every_message_round_trips(self, store, monkeypatch):
+        sent, replies = _scripted_session(store, True, monkeypatch)
+        # No dead arm: the session exercises every message class.
+        assert set(sent) == _message_classes()
+        # Every message but the closes got exactly one "ok" reply.
+        assert len(replies) == len(sent) - sent.count(sharded._Close)
+        _, loopback_replies = _scripted_session(store, False, monkeypatch)
+        assert loopback_replies == replies
+
+    def test_message_without_handler_fails_when_sent(self, store):
+        @dataclass(frozen=True)
+        class Orphan(sharded._Message):
+            index: int
+
+        with ShardedRenderService(store, num_workers=2) as fleet:
+            with pytest.raises(TypeError, match="abstract"):
+                fleet._call(0, Orphan(0))
+            # Wrong arity fails where the message is built, too.
+            with pytest.raises(TypeError):
+                fleet._call(0, sharded._RemoveScene())
+            # Nothing reached the workers: they still serve.
+            camera = store.get_cameras(0)[0]
+            response = fleet.submit(RenderRequest(scene_id=0, camera=camera))
+            assert response.image.shape == (36, 48, 3)
 
 
 class TestShardedTraceEvaluation:

@@ -8,6 +8,8 @@ tier, verbatim round trips of quantized payloads through the version-4
 archive, and the :func:`~repro.serving.storage.host_store` entry point.
 """
 
+import contextlib
+import dataclasses
 import os
 import pickle
 
@@ -70,6 +72,67 @@ def shared(scenes):
         yield catalog
     finally:
         catalog.close()
+
+
+def _shared_reader(scenes, tmp_path, stack):
+    owner = stack.enter_context(SharedSceneStore(scenes))
+    reader = pickle.loads(pickle.dumps(owner))
+    stack.callback(reader.close)
+    return reader
+
+
+#: tier name -> factory ``(scenes, tmp_path, exit stack) -> store``.
+STORE_TIERS = {
+    "memory": lambda scenes, tmp_path, stack: SceneStore(scenes),
+    "compressed": lambda scenes, tmp_path, stack: CompressedSceneStore(
+        scenes, codec="fp16", levels=2
+    ),
+    "shared-owner": lambda scenes, tmp_path, stack: stack.enter_context(
+        SharedSceneStore(scenes)
+    ),
+    "shared-reader": _shared_reader,
+    "shared-view": lambda scenes, tmp_path, stack: stack.enter_context(
+        SharedSceneStore(scenes)
+    ).build_substore([1, 0]),
+    "paged-raw": lambda scenes, tmp_path, stack: PagedSceneStore(
+        write_paged(SceneStore(scenes), tmp_path / "raw")
+    ),
+    "paged-compressed": lambda scenes, tmp_path, stack: PagedSceneStore(
+        write_paged(
+            CompressedSceneStore(scenes, codec="int8", levels=2),
+            tmp_path / "compressed",
+        )
+    ),
+}
+
+
+class TestReadOnlyViews:
+    """Every tier hands out non-writeable views, so a write through one
+    raises at runtime, whichever path the array took to get there."""
+
+    @pytest.mark.parametrize("tier", sorted(STORE_TIERS))
+    def test_writes_through_views_raise(self, scenes, tmp_path, tier):
+        with contextlib.ExitStack() as stack:
+            store = STORE_TIERS[tier](scenes, tmp_path, stack)
+            arrays = []
+            for level in sorted({0, store.num_levels(0) - 1}):
+                for cloud in (
+                    store.get_cloud(0, level=level),
+                    store.get_scene(0, level=level).cloud,
+                ):
+                    arrays += [
+                        getattr(cloud, field.name)
+                        for field in dataclasses.fields(cloud)
+                    ]
+            cameras = store.get_cameras(0) + store.get_scene(0).cameras
+            arrays += [camera.world_to_camera for camera in cameras]
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+                with pytest.raises(ValueError, match="read-only"):
+                    array += 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    array.fill(0.0)
 
 
 class TestSharedSceneStore:
@@ -135,8 +198,7 @@ class TestSharedSceneStore:
             assert shared._positions.flags.writeable
             assert not reader._positions.flags.writeable
             with pytest.raises(ValueError):
-                # Deliberate contract probe: the write must raise.
-                reader.get_cloud(0).positions[0] = 0.0  # repro: ignore[view-mutation]
+                reader.get_cloud(0).positions[0] = 0.0
         finally:
             reader.close()
 
